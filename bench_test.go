@@ -192,6 +192,40 @@ func BenchmarkBergerRigoutsos(b *testing.B) {
 	}
 }
 
+// BenchmarkFlagDilate measures buffering a shock-plane flag pattern on
+// a 64³ level by one cell, as RegridAll does, with the staging buffer
+// reused across calls: the result field is the only allocation.
+func BenchmarkFlagDilate(b *testing.B) {
+	f := cluster.NewFlagField(geom.UnitCube(64))
+	workload.NewShockPool3D(64, 2).Flag(0, 0.5, f)
+	var s cluster.DilateScratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if f.Dilate(1, &s).Count() < f.Count() {
+			b.Fatal("dilation lost flags")
+		}
+	}
+}
+
+// BenchmarkPackRegion measures packing the three AMR64 fields over a
+// two-cell ghost slab of a 16³ patch, the wire transport's send path.
+func BenchmarkPackRegion(b *testing.B) {
+	fields := []string{solver.FieldQ, solver.FieldPhi, solver.FieldRho}
+	p := grid.NewPatch(geom.UnitCube(16), 1, 2, fields...)
+	for k, name := range fields {
+		p.FillFunc(name, func(c geom.Index) float64 { return float64(k + c[0] - c[1] + 2*c[2]) })
+	}
+	slab := geom.Box{Lo: geom.Index{-2, -2, -2}, Hi: geom.Index{-1, 17, 17}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(grid.PackRegion(p, slab, fields)) != 2*20*20*3 {
+			b.Fatal("short pack")
+		}
+	}
+}
+
 // BenchmarkGhostPlan measures exchange-plan construction for a
 // 64-grid level (the per-step communication planning cost).
 func BenchmarkGhostPlan(b *testing.B) {

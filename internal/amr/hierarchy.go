@@ -127,6 +127,10 @@ type Hierarchy struct {
 	planCheck bool
 
 	listener Listener
+
+	// dilate is the flag-buffering scratch RegridAll reuses across
+	// regrids (regridding runs on one goroutine).
+	dilate cluster.DilateScratch
 }
 
 // SetPool attaches a worker pool for parallel execution of the data

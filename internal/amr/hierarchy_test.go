@@ -270,17 +270,17 @@ func TestRegridNoFlagsClearsFineLevels(t *testing.T) {
 func TestBufferFlagsExpands(t *testing.T) {
 	f := cluster.NewFlagField(geom.UnitCube(8))
 	f.Set(geom.Index{4, 4, 4})
-	out := bufferFlags(f, 1)
+	out := bufferFlags(f, 1, nil)
 	if out.Count() != 27 {
 		t.Errorf("buffered count = %d, want 27", out.Count())
 	}
-	if bufferFlags(f, 0) != f {
+	if bufferFlags(f, 0, nil) != f {
 		t.Error("zero buffer should return the input unchanged")
 	}
 	// Clipping at the domain edge.
 	f2 := cluster.NewFlagField(geom.UnitCube(8))
 	f2.Set(geom.Index{0, 0, 0})
-	if got := bufferFlags(f2, 1).Count(); got != 8 {
+	if got := bufferFlags(f2, 1, nil).Count(); got != 8 {
 		t.Errorf("corner buffer = %d, want 8", got)
 	}
 }

@@ -124,58 +124,158 @@ func (f *FlagField) SetWhere(pred func(geom.Index) bool) int {
 func (f *FlagField) BoundingBox(b geom.Box) geom.Box {
 	b = b.Intersect(f.Box)
 	if b.Empty() {
-		return geom.Box{Lo: geom.Index{0, 0, 0}, Hi: geom.Index{-1, -1, -1}}
+		return emptyBox
 	}
-	lo := geom.Index{1 << 30, 1 << 30, 1 << 30}
-	hi := geom.Index{-(1 << 30), -(1 << 30), -(1 << 30)}
-	found := false
-	f.scanRows(b, func(off, width, y, z int) {
-		for x := 0; x < width; x++ {
-			if !f.flags[off+x] {
-				continue
-			}
-			i := geom.Index{b.Lo[0] + x, y, z}
-			lo = lo.Min(i)
-			hi = hi.Max(i)
-			found = true
-		}
-	})
-	if !found {
-		return geom.Box{Lo: geom.Index{0, 0, 0}, Hi: geom.Index{-1, -1, -1}}
-	}
-	return geom.Box{Lo: lo, Hi: hi}
+	s := b.Shape()
+	bb, _, _ := shrinkWrap(b, f.signatures(b, make([]int, s[0]+s[1]+s[2])))
+	return bb
 }
 
-// signature returns, for dimension d within box b, the number of
-// flagged cells in each plane perpendicular to d. The returned slice
-// has b.Shape()[d] entries, entry k counting plane b.Lo[d]+k.
-func (f *FlagField) signature(b geom.Box, d int) []int {
-	sig := make([]int, b.Shape()[d])
+var emptyBox = geom.Box{Lo: geom.Index{0, 0, 0}, Hi: geom.Index{-1, -1, -1}}
+
+// signatures returns the three Berger–Rigoutsos signatures of box b
+// (which must lie within f.Box) from one scan of its rows: sig[d]
+// counts the flagged cells of each plane perpendicular to dimension d,
+// entry k counting plane b.Lo[d]+k. The slices are carved from buf,
+// which must hold at least the sum of b's extents.
+func (f *FlagField) signatures(b geom.Box, buf []int) (sig [geom.Dims][]int) {
+	s := b.Shape()
+	buf = buf[:s[0]+s[1]+s[2]]
+	clear(buf)
+	sig[0], sig[1], sig[2] = buf[:s[0]], buf[s[0]:s[0]+s[1]], buf[s[0]+s[1]:]
+	sx, sy, sz := sig[0], sig[1], sig[2]
 	f.scanRows(b, func(off, width, y, z int) {
-		switch d {
-		case 0:
-			for x := 0; x < width; x++ {
-				if f.flags[off+x] {
-					sig[x]++
-				}
+		n := 0
+		for x, v := range f.flags[off : off+width] {
+			if v {
+				sx[x]++
+				n++
 			}
-		case 1:
-			n := 0
-			for x := 0; x < width; x++ {
-				if f.flags[off+x] {
-					n++
-				}
-			}
-			sig[y-b.Lo[1]] += n
-		default:
-			n := 0
-			for x := 0; x < width; x++ {
-				if f.flags[off+x] {
-					n++
-				}
-			}
-			sig[z-b.Lo[2]] += n
 		}
+		sy[y-b.Lo[1]] += n
+		sz[z-b.Lo[2]] += n
 	})
 	return sig
+}
+
+// shrinkWrap trims box b to the flags inside it using b's signatures:
+// the first and last nonzero plane of each dimension bound the flags.
+// Trimming drops only empty planes, so the other dimensions' plane
+// counts are unchanged and the trimmed box's signatures are sub-slices
+// of sig. It returns the trimmed box, its signatures and its flag
+// count; a box without flags yields an empty box and count 0.
+func shrinkWrap(b geom.Box, sig [geom.Dims][]int) (geom.Box, [geom.Dims][]int, int) {
+	n := 0
+	for _, c := range sig[0] {
+		n += c
+	}
+	if n == 0 {
+		return emptyBox, sig, 0
+	}
+	for d := 0; d < geom.Dims; d++ {
+		s := sig[d]
+		lo, hi := 0, len(s)-1
+		for s[lo] == 0 {
+			lo++
+		}
+		for s[hi] == 0 {
+			hi--
+		}
+		sig[d] = s[lo : hi+1]
+		b.Hi[d] = b.Lo[d] + hi
+		b.Lo[d] += lo
+	}
+	return b, sig, n
+}
+
+// DilateScratch is the buffer Dilate reuses across calls. The zero
+// value is ready to use; one scratch must not serve two dilations at
+// once.
+type DilateScratch struct{ ring []bool }
+
+// Dilate returns a new field in which every flag of f is expanded by
+// the Chebyshev radius r and clipped to f.Box: a cell is flagged when
+// some flag of f lies within r of it in every dimension. The clipped
+// (2r+1)³ cube is the product of three clipped intervals, so the
+// dilation is separable and runs as three row-wise passes: x within
+// each row from f into the result, then y OR-ing rows and z OR-ing
+// planes in place. The in-place passes keep the originals of the
+// lines they have overwritten in r+1 planes of scratch from s (nil
+// allocates them), so a warm call allocates only its result. For
+// r <= 0 the result is a copy of f.
+func (f *FlagField) Dilate(r int, s *DilateScratch) *FlagField {
+	out := NewFlagField(f.Box)
+	if r <= 0 || f.count == 0 {
+		copy(out.flags, f.flags)
+		out.count = f.count
+		return out
+	}
+	if s == nil {
+		s = new(DilateScratch)
+	}
+	sh := f.Box.Shape()
+	nx, plane := sh[0], sh[0]*sh[1]
+	if cap(s.ring) < (r+1)*plane {
+		s.ring = make([]bool, (r+1)*plane)
+	}
+	n := len(f.flags)
+	for off := 0; off < n; off += nx {
+		dilateRow(out.flags[off:off+nx], f.flags[off:off+nx], r)
+	}
+	for off := 0; off < n; off += plane {
+		orWindow(out.flags[off:off+plane], nx, r, s.ring)
+	}
+	orWindow(out.flags, plane, r, s.ring)
+	for _, v := range out.flags {
+		if v {
+			out.count++
+		}
+	}
+	return out
+}
+
+// dilateRow sets dst[x] when src holds a flag within r of x. last
+// tracks the rightmost flag at or before x+r.
+func dilateRow(dst, src []bool, r int) {
+	n := len(src)
+	last := -r - 1
+	for j := 0; j < min(r, n); j++ {
+		if src[j] {
+			last = j
+		}
+	}
+	for x := range dst {
+		if j := x + r; j < n && src[j] {
+			last = j
+		}
+		dst[x] = last >= x-r
+	}
+}
+
+// orWindow views buf as consecutive lines of w cells and sets each
+// line, in place, to the OR of the original lines within r of it.
+// Lines after the current one are still original; ring, (r+1)·w
+// cells, keeps the originals of the current line and the r before it,
+// line j in slot j mod (r+1).
+func orWindow(buf []bool, w, r int, ring []bool) {
+	m := len(buf) / w
+	slot := func(j int) []bool { return ring[(j%(r+1))*w : (j%(r+1)+1)*w] }
+	for k := 0; k < m; k++ {
+		line := buf[k*w : (k+1)*w]
+		copy(slot(k), line)
+		for j := max(k-r, 0); j < k; j++ {
+			orInto(line, slot(j))
+		}
+		for j := k + 1; j <= min(k+r, m-1); j++ {
+			orInto(line, buf[j*w:(j+1)*w])
+		}
+	}
+}
+
+func orInto(dst, src []bool) {
+	for i, v := range src {
+		if v {
+			dst[i] = true
+		}
+	}
 }

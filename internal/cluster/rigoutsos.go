@@ -42,19 +42,24 @@ func Cluster(f *FlagField, p Params) geom.BoxList {
 	if f.Count() == 0 {
 		return nil
 	}
+	// One signature buffer serves the whole recursion: a node is done
+	// with its signatures before it recurses into its halves.
+	s := f.Box.Shape()
+	buf := make([]int, s[0]+s[1]+s[2])
 	var out geom.BoxList
-	seed := f.BoundingBox(f.Box)
-	clusterRecurse(f, seed, p, p.MaxDepth, &out)
+	clusterRecurse(f, f.Box, p, p.MaxDepth, buf, &out)
 	out.SortByLo()
 	return out
 }
 
-func clusterRecurse(f *FlagField, b geom.Box, p Params, depth int, out *geom.BoxList) {
-	b = f.BoundingBox(b) // shrink-wrap to the flags inside
-	if b.Empty() {
+// clusterRecurse scans box b's rows once for its three signatures and
+// derives from them the shrink-wrapped box, its flag count and the
+// signatures findCut needs.
+func clusterRecurse(f *FlagField, b geom.Box, p Params, depth int, buf []int, out *geom.BoxList) {
+	b, sig, nflag := shrinkWrap(b, f.signatures(b, buf))
+	if nflag == 0 {
 		return
 	}
-	nflag := f.CountIn(b)
 	eff := float64(nflag) / float64(b.NumCells())
 	shape := b.Shape()
 	tooBig := p.MaxSize > 0 && (shape[0] > p.MaxSize || shape[1] > p.MaxSize || shape[2] > p.MaxSize)
@@ -65,24 +70,25 @@ func clusterRecurse(f *FlagField, b geom.Box, p Params, depth int, out *geom.Box
 		return
 	}
 
-	d, at, ok := findCut(f, b, p)
+	d, at, ok := findCut(b, sig, p)
 	if !ok {
 		// No admissible cut: accept as-is.
 		*out = append(*out, b)
 		return
 	}
 	lo, hi := b.SplitAt(d, at)
-	clusterRecurse(f, lo, p, depth-1, out)
-	clusterRecurse(f, hi, p, depth-1, out)
+	clusterRecurse(f, lo, p, depth-1, buf, out)
+	clusterRecurse(f, hi, p, depth-1, buf, out)
 }
 
-// findCut picks the Berger–Rigoutsos cut for box b: a hole (plane with
-// zero flags) if one exists, else the strongest inflection point of
-// the signature Laplacian, else the midpoint of the longest dimension.
-// Cut positions that would produce a slab thinner than MinSize are
-// rejected. It returns the dimension, the cut plane (first index of
-// the upper half), and whether a cut was found.
-func findCut(f *FlagField, b geom.Box, p Params) (dim, at int, ok bool) {
+// findCut picks the Berger–Rigoutsos cut for the shrink-wrapped box b
+// with signatures sig: a hole (plane with zero flags) if one exists,
+// else the strongest inflection point of the signature Laplacian, else
+// the midpoint of the longest dimension. Cut positions that would
+// produce a slab thinner than MinSize are rejected. It returns the
+// dimension, the cut plane (first index of the upper half), and
+// whether a cut was found.
+func findCut(b geom.Box, sig [geom.Dims][]int, p Params) (dim, at int, ok bool) {
 	shape := b.Shape()
 
 	// Pass 1: holes, preferring the hole closest to the box centre of
@@ -92,7 +98,7 @@ func findCut(f *FlagField, b geom.Box, p Params) (dim, at int, ok bool) {
 		if shape[d] < 2*p.MinSize {
 			continue
 		}
-		sig := f.signature(b, d)
+		sig := sig[d]
 		mid := len(sig) / 2
 		for k := p.MinSize; k <= len(sig)-p.MinSize; k++ {
 			if sig[k-1] == 0 || sig[k] == 0 {
@@ -116,15 +122,11 @@ func findCut(f *FlagField, b geom.Box, p Params) (dim, at int, ok bool) {
 		if shape[d] < 2*p.MinSize {
 			continue
 		}
-		sig := f.signature(b, d)
-		// Second difference Δ_k = sig[k+1] - 2 sig[k] + sig[k-1].
-		lap := make([]int, len(sig))
-		for k := 1; k < len(sig)-1; k++ {
-			lap[k] = sig[k+1] - 2*sig[k] + sig[k-1]
-		}
+		sig := sig[d]
 		for k := p.MinSize; k < len(sig)-p.MinSize; k++ {
-			if (lap[k] >= 0) != (lap[k+1] >= 0) { // sign change between k and k+1
-				strength := abs(lap[k] - lap[k+1])
+			lk, lk1 := laplacian(sig, k), laplacian(sig, k+1)
+			if (lk >= 0) != (lk1 >= 0) { // sign change between k and k+1
+				strength := abs(lk - lk1)
 				if strength > bestStrength {
 					bestDim, bestAt, bestStrength = d, b.Lo[d]+k+1, strength
 				}
@@ -147,6 +149,15 @@ func findCut(f *FlagField, b geom.Box, p Params) (dim, at int, ok bool) {
 		}
 	}
 	return 0, 0, false
+}
+
+// laplacian is the signature's second difference
+// sig[k+1] - 2 sig[k] + sig[k-1], taken as 0 at both ends.
+func laplacian(sig []int, k int) int {
+	if k < 1 || k >= len(sig)-1 {
+		return 0
+	}
+	return sig[k+1] - 2*sig[k] + sig[k-1]
 }
 
 func abs(x int) int {

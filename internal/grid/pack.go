@@ -19,8 +19,8 @@ func PackRegion(p *Patch, region geom.Box, fields []string) []float64 {
 	out := make([]float64, 0, n*len(fields))
 	for _, name := range fields {
 		f := p.Field(name)
-		region.ForEach(func(i geom.Index) {
-			out = append(out, f[g.Offset(i)])
+		forRows(g, region, func(off, nx int) {
+			out = append(out, f[off:off+nx]...)
 		})
 	}
 	return out
@@ -41,9 +41,26 @@ func UnpackRegion(p *Patch, region geom.Box, fields []string, data []float64) {
 	k := 0
 	for _, name := range fields {
 		f := p.Field(name)
-		region.ForEach(func(i geom.Index) {
-			f[g.Offset(i)] = data[k]
-			k++
+		forRows(g, region, func(off, nx int) {
+			k += copy(f[off:off+nx], data[k:k+nx])
 		})
+	}
+}
+
+// forRows calls fn with the storage offset and width of every x-row of
+// region, a box within g, in Offset order.
+func forRows(g, region geom.Box, fn func(off, nx int)) {
+	if region.Empty() {
+		return
+	}
+	plane, sy, sz := layout(g, region.Lo)
+	nx := region.Hi[0] - region.Lo[0] + 1
+	for z := region.Lo[2]; z <= region.Hi[2]; z++ {
+		off := plane
+		for y := region.Lo[1]; y <= region.Hi[1]; y++ {
+			fn(off, nx)
+			off += sy
+		}
+		plane += sz
 	}
 }

@@ -179,20 +179,36 @@ func CopyRegion(dst, src *Patch, name string, region geom.Box) {
 	if dst.Level != src.Level {
 		panic("grid.CopyRegion: level mismatch")
 	}
-	r := region.Intersect(dst.Grown()).Intersect(src.Grown())
+	dg, sg := dst.Grown(), src.Grown()
+	r := region.Intersect(dg).Intersect(sg)
 	if r.Empty() {
 		return
 	}
 	df, sf := dst.Field(name), src.Field(name)
-	dg, sg := dst.Grown(), src.Grown()
+	dplane, dsy, dsz := layout(dg, r.Lo)
+	splane, ssy, ssz := layout(sg, r.Lo)
 	n := r.Hi[0] - r.Lo[0] + 1
 	for z := r.Lo[2]; z <= r.Hi[2]; z++ {
+		do, so := dplane, splane
 		for y := r.Lo[1]; y <= r.Hi[1]; y++ {
-			do := dg.Offset(geom.Index{r.Lo[0], y, z})
-			so := sg.Offset(geom.Index{r.Lo[0], y, z})
 			copy(df[do:do+n], sf[so:so+n])
+			do += dsy
+			so += ssy
 		}
+		dplane += dsz
+		splane += ssz
 	}
+}
+
+// layout returns the offset of cell i in field storage over box g (as
+// g.Offset(i)) and the storage's y and z strides: stepping one cell in
+// y or z moves the offset by sy or sz. The kernels take a region's
+// base offset once and walk its rows by these increments instead of
+// recomputing Offset per row.
+func layout(g geom.Box, i geom.Index) (off, sy, sz int) {
+	sy = g.Hi[0] - g.Lo[0] + 1
+	sz = sy * (g.Hi[1] - g.Lo[1] + 1)
+	return (i[0] - g.Lo[0]) + sy*(i[1]-g.Lo[1]) + sz*(i[2]-g.Lo[2]), sy, sz
 }
 
 // ClampRegion fills the named field over region by copying, for every
@@ -209,36 +225,42 @@ func ClampRegion(p *Patch, name string, region, src geom.Box) {
 		return
 	}
 	f := p.Field(name)
+	dplane, sy, sz := layout(g, reg.Lo)
+	// Cells left and right of src, and the x-range they share with it.
+	x1, x0 := min(reg.Hi[0], src.Lo[0]-1), max(reg.Lo[0], src.Hi[0]+1)
+	m0, m1 := max(reg.Lo[0], src.Lo[0]), min(reg.Hi[0], src.Hi[0])
 	for z := reg.Lo[2]; z <= reg.Hi[2]; z++ {
-		sz := clampInt(z, src.Lo[2], src.Hi[2])
+		// srow + x is the offset of cell x of the clamped source row.
+		srcPlane := (clampInt(z, src.Lo[2], src.Hi[2])-g.Lo[2])*sz - g.Lo[0]
+		drow := dplane
 		for y := reg.Lo[1]; y <= reg.Hi[1]; y++ {
-			sy := clampInt(y, src.Lo[1], src.Hi[1])
-			do := g.Offset(geom.Index{reg.Lo[0], y, z})
+			srow := srcPlane + (clampInt(y, src.Lo[1], src.Hi[1])-g.Lo[1])*sy
+			do := drow
 			// Left of src: constant value of src's low-x column.
-			if x1 := min(reg.Hi[0], src.Lo[0]-1); x1 >= reg.Lo[0] {
-				v := f[g.Offset(geom.Index{src.Lo[0], sy, sz})]
+			if x1 >= reg.Lo[0] {
+				v := f[srow+src.Lo[0]]
 				for x := reg.Lo[0]; x <= x1; x++ {
 					f[do] = v
 					do++
 				}
 			}
 			// Inside src's x-range: copy the clamped row.
-			m0, m1 := max(reg.Lo[0], src.Lo[0]), min(reg.Hi[0], src.Hi[0])
 			if m0 <= m1 {
-				so := g.Offset(geom.Index{m0, sy, sz})
 				n := m1 - m0 + 1
-				copy(f[do:do+n], f[so:so+n])
+				copy(f[do:do+n], f[srow+m0:srow+m0+n])
 				do += n
 			}
 			// Right of src: constant value of src's high-x column.
-			if x0 := max(reg.Lo[0], src.Hi[0]+1); x0 <= reg.Hi[0] {
-				v := f[g.Offset(geom.Index{src.Hi[0], sy, sz})]
+			if x0 <= reg.Hi[0] {
+				v := f[srow+src.Hi[0]]
 				for x := x0; x <= reg.Hi[0]; x++ {
 					f[do] = v
 					do++
 				}
 			}
+			drow += sy
 		}
+		dplane += sz
 	}
 }
 
@@ -267,31 +289,39 @@ func Restrict(coarse, fine *Patch, name string, r int) {
 	}
 	cf, ff := coarse.Field(name), fine.Field(name)
 	cg, fg := coarse.Grown(), fine.Grown()
+	cplane, csy, csz := layout(cg, overlap.Lo)
+	_, fsy, fsz := layout(fg, fg.Lo)
+	fb := fine.Box
 	inv := 1.0 / float64(r*r*r)
 	r3 := float64(r * r * r)
 	for cz := overlap.Lo[2]; cz <= overlap.Hi[2]; cz++ {
+		// The fine cells under coarse cell c, clipped to the fine box.
+		z0, z1 := max(cz*r, fb.Lo[2]), min(cz*r+r-1, fb.Hi[2])
+		co := cplane
 		for cy := overlap.Lo[1]; cy <= overlap.Hi[1]; cy++ {
-			co := cg.Offset(geom.Index{overlap.Lo[0], cy, cz})
+			y0, y1 := max(cy*r, fb.Lo[1]), min(cy*r+r-1, fb.Hi[1])
+			// frow + x is the offset of fine cell (x, y0, z0).
+			frow := (y0-fg.Lo[1])*fsy + (z0-fg.Lo[2])*fsz - fg.Lo[0]
 			for cx := overlap.Lo[0]; cx <= overlap.Hi[0]; cx++ {
-				fb := geom.Box{
-					Lo: geom.Index{cx * r, cy * r, cz * r},
-					Hi: geom.Index{cx*r + r - 1, cy*r + r - 1, cz*r + r - 1},
-				}.Intersect(fine.Box)
-				n := fb.Hi[0] - fb.Lo[0] + 1
+				x0, x1 := max(cx*r, fb.Lo[0]), min(cx*r+r-1, fb.Hi[0])
+				n := x1 - x0 + 1
 				var s float64
-				for fz := fb.Lo[2]; fz <= fb.Hi[2]; fz++ {
-					for fy := fb.Lo[1]; fy <= fb.Hi[1]; fy++ {
-						fo := fg.Offset(geom.Index{fb.Lo[0], fy, fz})
-						for i := 0; i < n; i++ {
-							s += ff[fo]
-							fo++
+				fplane := frow + x0
+				for fz := z0; fz <= z1; fz++ {
+					fo := fplane
+					for fy := y0; fy <= y1; fy++ {
+						for _, v := range ff[fo : fo+n] {
+							s += v
 						}
+						fo += fsy
 					}
+					fplane += fsz
 				}
-				cf[co] = s * inv * r3 / float64(fb.NumCells())
-				co++
+				cf[co+cx-overlap.Lo[0]] = s * inv * r3 / float64(n*(y1-y0+1)*(z1-z0+1))
 			}
+			co += csy
 		}
+		cplane += csz
 	}
 }
 
@@ -314,24 +344,28 @@ func Prolong(fine, coarse *Patch, name string, r int, region geom.Box) {
 		return
 	}
 	cf, ff := coarse.Field(name), fine.Field(name)
+	_, csy, csz := layout(cg, cg.Lo)
+	fplane, fsy, fsz := layout(fg, reg.Lo)
+	n := reg.Hi[0] - reg.Lo[0] + 1
+	cx := floorDiv(reg.Lo[0], r)
+	rem0 := reg.Lo[0] - cx*r // position within the coarse cell, in [0,r)
 	for fz := reg.Lo[2]; fz <= reg.Hi[2]; fz++ {
-		cz := floorDiv(fz, r)
+		cplane := (cx - cg.Lo[0]) + (floorDiv(fz, r)-cg.Lo[2])*csz
+		frow := fplane
 		for fy := reg.Lo[1]; fy <= reg.Hi[1]; fy++ {
-			cy := floorDiv(fy, r)
-			fo := fg.Offset(geom.Index{reg.Lo[0], fy, fz})
-			cx := floorDiv(reg.Lo[0], r)
-			co := cg.Offset(geom.Index{cx, cy, cz})
-			rem := reg.Lo[0] - cx*r // position within the coarse cell, in [0,r)
-			for fx := reg.Lo[0]; fx <= reg.Hi[0]; fx++ {
+			co := cplane + (floorDiv(fy, r)-cg.Lo[1])*csy
+			rem := rem0
+			for fo := frow; fo < frow+n; fo++ {
 				ff[fo] = cf[co]
-				fo++
 				rem++
 				if rem == r {
 					rem = 0
 					co++
 				}
 			}
+			frow += fsy
 		}
+		fplane += fsz
 	}
 }
 

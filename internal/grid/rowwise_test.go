@@ -2,6 +2,7 @@ package grid
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"samrdlb/internal/geom"
@@ -54,6 +55,26 @@ func refClamp(p *Patch, name string, region, src geom.Box) {
 	region.Intersect(p.Grown()).ForEach(func(i geom.Index) {
 		p.Set(name, i, p.At(name, i.Max(src.Lo).Min(src.Hi)))
 	})
+}
+
+// refPack and refUnpack are the per-cell originals of PackRegion and
+// UnpackRegion.
+func refPack(p *Patch, region geom.Box, fields []string) []float64 {
+	var out []float64
+	for _, name := range fields {
+		region.ForEach(func(i geom.Index) { out = append(out, p.At(name, i)) })
+	}
+	return out
+}
+
+func refUnpack(p *Patch, region geom.Box, fields []string, data []float64) {
+	k := 0
+	for _, name := range fields {
+		region.ForEach(func(i geom.Index) {
+			p.Set(name, i, data[k])
+			k++
+		})
+	}
 }
 
 func assertSameField(t *testing.T, want, got *Patch, context string) {
@@ -128,6 +149,115 @@ func TestClampRegionMatchesPerCell(t *testing.T) {
 		refClamp(d, "q", cb, inner)
 	}
 	assertSameField(t, d, c, "ClampRegion interior")
+}
+
+// kernelBox returns a random box with low corner in [-6,3] and extent
+// 1–7 per dimension; every fourth box is a 1-cell-wide x-slab, the
+// shape of a ghost-fill row.
+func kernelBox(rng *rand.Rand) geom.Box {
+	var lo, shape geom.Index
+	for d := 0; d < 3; d++ {
+		lo[d] = rng.Intn(10) - 6
+		shape[d] = 1 + rng.Intn(7)
+	}
+	if rng.Intn(4) == 0 {
+		shape[0] = 1
+	}
+	return geom.BoxFromShape(lo, shape)
+}
+
+// regionAround returns a random box near g: it may spill past g, so
+// the kernels' clipping is exercised, and is often one cell thick.
+func regionAround(rng *rand.Rand, g geom.Box) geom.Box {
+	r := randomRegionIn(rng, g.Grow(1))
+	if d := rng.Intn(4); d < 3 {
+		r.Hi[d] = r.Lo[d]
+	}
+	return r
+}
+
+// TestKernelsMatchPerCellRandom pins every strided kernel against its
+// per-cell reference over random placements: ghost widths 1 and 2,
+// negative ghost indices, 1-cell-wide x-slabs and regions that spill
+// past the patches. The -datacheck oracle runs its planned and scan
+// fills through these same kernels, so this test is the kernels' guard.
+func TestKernelsMatchPerCellRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 300; trial++ {
+		ng := 1 + trial%2
+		box := kernelBox(rng)
+
+		src := randPatch(rng, kernelBox(rng), 0, ng)
+		a := randPatch(rng, box, 0, ng)
+		b := a.Clone()
+		region := regionAround(rng, a.Grown())
+		CopyRegion(a, src, "q", region)
+		refCopyRegion(b, src, "q", region)
+		assertSameField(t, b, a, "CopyRegion")
+
+		r := 2 + 2*rng.Intn(2)
+		coarse := randPatch(rng, kernelBox(rng), 0, ng)
+		a = randPatch(rng, kernelBox(rng).Refine(r).Shift(geom.Index{rng.Intn(r), 0, -rng.Intn(r)}), 1, ng)
+		b = a.Clone()
+		region = regionAround(rng, a.Grown())
+		Prolong(a, coarse, "q", r, region)
+		refProlong(b, coarse, "q", r, region)
+		assertSameField(t, b, a, "Prolong")
+
+		fine := randPatch(rng, geom.BoxFromShape(box.Lo.Scale(r).Add(geom.Index{rng.Intn(3), rng.Intn(3), -rng.Intn(3)}), kernelBox(rng).Shape().Scale(2)), 1, ng)
+		a = randPatch(rng, box, 0, ng)
+		b = a.Clone()
+		Restrict(a, fine, "q", r)
+		refRestrict(b, fine, "q", r)
+		assertSameField(t, b, a, "Restrict")
+
+		a = randPatch(rng, box, 0, ng)
+		b = a.Clone()
+		for _, cb := range geom.Subtract(a.Grown(), box) {
+			ClampRegion(a, "q", cb, box)
+			refClamp(b, "q", cb, box)
+		}
+		assertSameField(t, b, a, "ClampRegion")
+
+		p := NewPatch(box, 0, ng, "a", "q")
+		p.FillFunc("a", func(geom.Index) float64 { return rng.Float64() })
+		p.FillFunc("q", func(geom.Index) float64 { return rng.Float64() })
+		fields := []string{"q", "a"}
+		region = randomRegionIn(rng, p.Grown())
+		if rng.Intn(3) == 0 {
+			region.Hi[0] = region.Lo[0]
+		}
+		data := PackRegion(p, region, fields)
+		if want := refPack(p, region, fields); !slices.Equal(data, want) {
+			t.Fatalf("PackRegion %v of %v: got %v, want %v", region, p.Grown(), data, want)
+		}
+		a = NewPatch(box, 0, ng, "a", "q")
+		b = a.Clone()
+		UnpackRegion(a, region, fields, data)
+		refUnpack(b, region, fields, data)
+		assertSameField(t, b, a, "UnpackRegion")
+		// Round trip: the region holds p's values, the rest stays zero.
+		a.Grown().ForEach(func(i geom.Index) {
+			for _, name := range fields {
+				want := 0.0
+				if region.Contains(i) {
+					want = p.At(name, i)
+				}
+				if got := a.At(name, i); got != want {
+					t.Fatalf("round trip %v: %s at %v = %v, want %v", region, name, i, got, want)
+				}
+			}
+		})
+	}
+}
+
+func TestPackRegionEmptyRegion(t *testing.T) {
+	p := NewPatch(geom.UnitCube(4), 0, 1, "q")
+	empty := geom.Box{Lo: geom.Index{3, 0, 0}, Hi: geom.Index{0, 3, 3}}
+	if data := PackRegion(p, empty, []string{"q"}); len(data) != 0 {
+		t.Fatalf("packing an empty region gave %d values", len(data))
+	}
+	UnpackRegion(p, empty, []string{"q"}, nil)
 }
 
 func TestFloorDiv(t *testing.T) {

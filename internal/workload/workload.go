@@ -279,13 +279,31 @@ func (a *AMR64) InitialCondition(p *grid.Patch, dx float64) {
 }
 
 // Flag implements Driver: cells within any cluster's current radius.
+//
+// Centres are pruned per row: a centre whose y/z part of the distance
+// alone, wrapDist2 with the x term zero, is already ≥ r² flags no cell
+// of the row. wrapDist2 sums left to right and rounding is monotone,
+// so fl(fl(a+b)+c) ≥ fl(b+c) for the x term a ≥ 0; the cells test the
+// surviving centres with the unchanged predicate, and the flags are
+// exactly those of testing every centre.
 func (a *AMR64) Flag(level int, t float64, f *cluster.FlagField) {
 	r := a.radius(level, t)
 	r2 := r * r
 	dx := 1.0 / (float64(a.N0) * math.Pow(float64(a.Ref), float64(level)))
+	live := make([][3]float64, 0, len(a.centers))
+	rowY, rowZ := math.MinInt, math.MinInt
 	f.SetWhere(func(i geom.Index) bool {
 		x := [3]float64{(float64(i[0]) + 0.5) * dx, (float64(i[1]) + 0.5) * dx, (float64(i[2]) + 0.5) * dx}
-		for _, c := range a.centers {
+		if i[1] != rowY || i[2] != rowZ {
+			rowY, rowZ = i[1], i[2]
+			live = live[:0]
+			for _, c := range a.centers {
+				if wrapDist2([3]float64{c[0], x[1], x[2]}, c) < r2 {
+					live = append(live, c)
+				}
+			}
+		}
+		for _, c := range live {
 			if wrapDist2(x, c) < r2 {
 				return true
 			}

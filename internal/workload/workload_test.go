@@ -137,6 +137,48 @@ func TestAMR64ClustersScattered(t *testing.T) {
 	}
 }
 
+// TestAMR64FlagRowPruningExact pins the row-pruned Flag to the
+// predicate that tests every centre at every cell, over levels, times,
+// layout seeds and boxes away from the origin.
+func TestAMR64FlagRowPruningExact(t *testing.T) {
+	boxes := []geom.Box{
+		geom.UnitCube(24),
+		{Lo: geom.Index{10, 3, 17}, Hi: geom.Index{45, 40, 30}},
+		{Lo: geom.Index{0, 60, 0}, Hi: geom.Index{95, 60, 95}},
+	}
+	for _, seed := range []int64{1, 4, 7, 13} {
+		a := NewAMR64(24, 2, seed)
+		for level := 0; level <= 2; level++ {
+			for _, tm := range []float64{0, 0.37, 1.5, 100} {
+				r := a.radius(level, tm)
+				r2 := r * r
+				dx := 1.0 / (float64(a.N0) * math.Pow(float64(a.Ref), float64(level)))
+				for _, b := range boxes {
+					got, want := cluster.NewFlagField(b), cluster.NewFlagField(b)
+					a.Flag(level, tm, got)
+					want.SetWhere(func(i geom.Index) bool {
+						x := [3]float64{(float64(i[0]) + 0.5) * dx, (float64(i[1]) + 0.5) * dx, (float64(i[2]) + 0.5) * dx}
+						for _, c := range a.centers {
+							if wrapDist2(x, c) < r2 {
+								return true
+							}
+						}
+						return false
+					})
+					if got.Count() != want.Count() {
+						t.Fatalf("seed %d level %d t=%v box %v: %d flags, want %d", seed, level, tm, b, got.Count(), want.Count())
+					}
+					b.ForEach(func(i geom.Index) {
+						if got.Get(i) != want.Get(i) {
+							t.Fatalf("seed %d level %d t=%v: cell %v flagged %v, want %v", seed, level, tm, i, got.Get(i), want.Get(i))
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
 func TestAMR64RefinementGrows(t *testing.T) {
 	a := NewAMR64(32, 2, 7)
 	early := flagCount(a, 0, 0, geom.UnitCube(32))

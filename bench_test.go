@@ -454,7 +454,7 @@ func BenchmarkForecastRecord(b *testing.B) {
 // Each pair measures one decision-path operation at ~4k level-0 grids
 // on a 128-processor WAN pair, once through the incrementally
 // maintained load ledger and once through the original walk-the-
-// hierarchy recompute (the -ledgercheck oracle path). The grid count
+// hierarchy recompute (the ledger oracle's path under -check). The grid count
 // matches a large SAMR run where per-decision O(grids) bookkeeping
 // starts to rival the useful work.
 

@@ -7,7 +7,7 @@
 //
 // -policy selects the balancer from the policy registry (distributed,
 // parallel, sfc, hilbert-sfc, diffusion, diffusion-sos, knapsack, or
-// an alias such as "paper"); -scheme is the legacy spelling.
+// an alias such as "paper").
 // -tournament instead runs the seeded policy ablation — every
 // registered policy on identical scenario envelopes — printing a
 // markdown comparison report, with -bench-out writing the
@@ -20,13 +20,16 @@
 // or -stop-after) restarts with -resume and produces the same result
 // as an uninterrupted one.
 //
-// With -invariants the paper-invariant oracle (internal/invariant)
-// audits every regrid, balancing, checkpoint and restore phase; any
-// violation is printed and the run exits non-zero. -scenario replays
-// a property-harness scenario string — the format printed by a
-// failing soak or fuzz run — end to end under the oracle:
+// -check arms every debug oracle: the paper-invariant oracle
+// (internal/invariant) audits every regrid, balancing, checkpoint and
+// restore phase, printing any violation and exiting non-zero, and the
+// engine recomputes its load ledger, exchange plans and data motion
+// from scratch, panicking on divergence. Output is unchanged; only
+// the run is slower. -scenario replays a property-harness scenario
+// string — the format printed by a failing soak or fuzz run — end to
+// end under the invariant oracle (with -check, under every oracle):
 //
-//	samrsim -invariants -scenario 'seed=42 dataset=ShockPool3D n=8 ... bug=colocation'
+//	samrsim -scenario 'seed=42 dataset=ShockPool3D n=8 ... bug=colocation'
 //
 // With -data, -transport selects how rank messages travel: "loopback"
 // runs every simulated processor as an mpx rank in one in-process
@@ -34,15 +37,6 @@
 // real localhost sockets (CRC32-framed wire messages). Both produce
 // results identical to the shared-memory default; the netsim link
 // model stays the timing authority.
-//
-// A multi-process lockstep campaign replicates the deterministic run
-// across machines and cross-checks a per-step digest over TCP:
-//
-//	samrsim -peers host0:7000,host1:7000 -shard 0 -listen :7000 ...
-//	samrsim -peers host0:7000,host1:7000 -shard 1 -listen :7000 ...
-//
-// Every process must be started with identical run flags; any
-// divergence in the per-step digests exits non-zero.
 package main
 
 import (
@@ -51,6 +45,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"samrdlb/internal/ckpt"
@@ -71,10 +66,9 @@ import (
 
 func main() {
 	var (
-		dataset   = flag.String("dataset", "ShockPool3D", "ShockPool3D | AMR64 | SedovBlast | blob | uniform")
+		dataset   = flag.String("dataset", "ShockPool3D", strings.Join(workload.Datasets, " | "))
 		system    = flag.String("system", "wan", "wan | lan | origin (single machine)")
-		scheme    = flag.String("scheme", "distributed", "balancer policy (legacy spelling of -policy)")
-		policy    = flag.String("policy", "", "balancer policy: distributed | parallel | sfc | hilbert-sfc | diffusion | diffusion-sos | knapsack (or an alias; overrides -scheme)")
+		policy    = flag.String("policy", "distributed", "balancer policy: distributed | parallel | sfc | hilbert-sfc | diffusion | diffusion-sos | knapsack (or an alias)")
 		tourney   = flag.Bool("tournament", false, "run the policy ablation tournament instead of a single run: every registered policy on the same seeded scenario envelopes, printing a markdown comparison report")
 		tourneyN  = flag.Int("tournament-scenarios", 20, "tournament: number of generated scenario envelopes per policy")
 		tourneySd = flag.Int64("tournament-seed", 40000, "tournament: first scenario-generator seed")
@@ -98,19 +92,13 @@ func main() {
 		stopAftr  = flag.Int("stop-after", -1, "exit with status 3 after this level-0 step completes (simulated crash, for resume testing)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file after the run")
-		ledCheck  = flag.Bool("ledgercheck", false, "verify the incremental load ledger against a full recomputation after every hierarchy mutation (slow; debug oracle)")
-		datCheck  = flag.Bool("datacheck", false, "verify every planned ghost fill and restriction against the scan-based baseline, bit for bit (slow; debug oracle)")
-		plnCheck  = flag.Bool("plancheck", false, "verify every served exchange plan against the O(n²) scan planners, bit for bit (slow; debug oracle)")
-		invCheck  = flag.Bool("invariants", false, "audit every phase with the paper-invariant oracle; violations exit non-zero")
+		check     = flag.Bool("check", false, "arm every debug oracle: audit each phase with the paper-invariant oracle (violations exit non-zero) and verify the load ledger, exchange plans and data motion against full recomputations (slow)")
 		scenSpec  = flag.String("scenario", "", "replay a property-harness scenario string under the invariant oracle (overrides the other run flags)")
 		quorum    = flag.Int("quorum", 0, "per-group minimum of admitted processors before the group degrades to local-only balancing (0 = default 1)")
 		recReport = flag.Bool("recovery-report", false, "print the retry/backoff/suspicion and rejoin counters after the run")
 		transport = flag.String("transport", "", "rank-message transport with -data: loopback (in-process mpx world) | tcp (one shard per group over localhost sockets); empty = shared-memory data path")
-		listenFl  = flag.String("listen", "", "lockstep: listen address for this shard (default: the -peers entry for -shard)")
-		peersFl   = flag.String("peers", "", "lockstep: comma-separated shard addresses in shard order; replicates the run and cross-checks per-step digests")
-		shardFl   = flag.Int("shard", -1, "lockstep: this process's index into -peers")
 		superv    = flag.Bool("supervise", false, "run one worker OS process per processor group under this supervising parent (requires -data); crashed workers restart from their latest durable generation in -ckpt-dir")
-		wireTO    = flag.Duration("wire-timeout", 5*time.Second, "read/write deadline and heartbeat pacing on every wire connection (tcp/worker transports and lockstep; 0 disables)")
+		wireTO    = flag.Duration("wire-timeout", 5*time.Second, "read/write deadline and heartbeat pacing on every wire connection (tcp/worker transports; 0 disables)")
 		maxRst    = flag.Int("max-restarts", 3, "supervise: restarts allowed per worker before the run fails")
 		wrkShard  = flag.Int("worker-shard", -1, "internal: run as the supervised worker hosting this processor group")
 		wrkCtrl   = flag.String("worker-control", "", "internal: supervisor control-channel address")
@@ -119,15 +107,11 @@ func main() {
 	)
 	flag.Parse()
 
-	if *policy != "" {
-		*scheme = *policy
-	}
-
 	if *tourney {
 		os.Exit(runTournament(*tourneyN, *tourneySd, *benchOut))
 	}
 	if *scenSpec != "" {
-		os.Exit(runScenario(*scenSpec, *plnCheck))
+		os.Exit(runScenario(*scenSpec, *check))
 	}
 
 	if *cpuProf != "" {
@@ -144,20 +128,9 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	var driver workload.Driver
-	switch *dataset {
-	case "ShockPool3D":
-		driver = workload.NewShockPool3D(*domainN, 2)
-	case "AMR64":
-		driver = workload.NewAMR64(*domainN, 2, *seed)
-	case "SedovBlast":
-		driver = workload.NewSedovBlast(*domainN, 2)
-	case "blob":
-		driver = workload.NewStaticBlob(*domainN, 2)
-	case "uniform":
-		driver = &workload.Uniform{N0: *domainN, Ref: 2}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown dataset %q\n", *dataset)
+	driver, err := workload.New(*dataset, *domainN, *seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
@@ -175,7 +148,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	bal, err := dlb.NewPolicy(*scheme)
+	bal, err := dlb.NewPolicy(*policy)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "policy: %v\n", err)
 		os.Exit(2)
@@ -225,9 +198,7 @@ func main() {
 		CheckpointInterval: *ckptIval,
 		CheckpointDir:      *ckptDir,
 		CheckpointKeep:     *ckptKeep,
-		LedgerCheck:        *ledCheck,
-		DataCheck:          *datCheck,
-		PlanCheck:          *plnCheck,
+		Check:              *check,
 	}
 	opt.WireTimeout = *wireTO
 	switch *transport {
@@ -255,53 +226,26 @@ func main() {
 		os.Exit(runWorkerMode(sys, driver, opt, *wrkShard, *wrkCtrl, *wrkDet, *wrkRes, *wireTO))
 	}
 	if *superv {
-		switch {
-		case !*withData:
+		if !*withData {
 			fmt.Fprintln(os.Stderr, "supervise: -supervise requires -data (worker shards carry field data)")
-			os.Exit(2)
-		case *peersFl != "":
-			fmt.Fprintln(os.Stderr, "supervise: -supervise and lockstep -peers are mutually exclusive")
-			os.Exit(2)
-		case *datCheck:
-			fmt.Fprintln(os.Stderr, "supervise: -datacheck is data-dependent and forbidden on worker shards")
 			os.Exit(2)
 		}
 		os.Exit(runSupervisor(sys, sched, *wireTO, *maxRst))
 	}
 	var checker *invariant.Checker
-	if *invCheck {
+	if *check {
 		// Rule scoping follows the policy's registered traits:
 		// structural rules always on, paper-specific rules only where
 		// the policy promises them.
-		checker = invariant.NewForPolicy(*scheme)
+		checker = invariant.NewForPolicy(*policy)
 		opt.Invariants = checker.Check
-	}
-	var lock *lockstep
-	if *peersFl != "" {
-		var err error
-		lock, err = startLockstep(*peersFl, *shardFl, *listenFl, *wireTO)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "lockstep: shard %d connected to %d peer(s)\n", *shardFl, lock.n-1)
-		opt.AfterStep = func(step int, r *engine.Runner) {
-			if err := lock.check(step, r); err != nil {
-				fmt.Fprintf(os.Stderr, "%v\n", err)
-				os.Exit(1)
-			}
-		}
 	}
 	if *stopAftr >= 0 {
 		// The durable generation for this boundary (if due) is written
 		// before AfterStep fires, so exiting here models a crash whose
 		// latest checkpoint is already safely on disk.
 		stop := *stopAftr
-		prev := opt.AfterStep
 		opt.AfterStep = func(step int, r *engine.Runner) {
-			if prev != nil {
-				prev(step, r)
-			}
 			if step >= stop {
 				fmt.Fprintf(os.Stderr, "interrupted after step %d (simulated crash)\n", step)
 				os.Exit(3)
@@ -330,11 +274,6 @@ func main() {
 		runner = engine.New(sys, driver, opt)
 	}
 	res := runner.Run()
-
-	if lock != nil {
-		fmt.Fprintf(os.Stderr, "lockstep: %d step(s) verified across %d shards\n", lock.steps, lock.n)
-		lock.close()
-	}
 
 	if checker != nil {
 		if err := checker.Err(); err != nil {
@@ -446,17 +385,18 @@ func runTournament(n int, seed0 int64, benchOut string) int {
 
 // runScenario replays a property-harness scenario string (the replay
 // format printed by failing soak/fuzz runs) under the invariant
-// oracle. Returns the process exit code: 0 when every invariant held,
-// 1 on violations or execution failure, 2 on a malformed spec.
-func runScenario(spec string, planCheck bool) int {
+// oracle; check forces the scenario's check=1 (every engine oracle).
+// Returns the process exit code: 0 when every invariant held, 1 on
+// violations or execution failure, 2 on a malformed spec.
+func runScenario(spec string, check bool) int {
 	sc, err := scenario.Parse(spec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "scenario: %v\n", err)
 		return 2
 	}
 	sc.Normalize()
-	if planCheck {
-		sc.PlanCheck = true
+	if check {
+		sc.Check = true
 	}
 	fmt.Printf("scenario: %s\n", sc.Encode())
 	out := sc.Execute()

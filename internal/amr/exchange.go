@@ -209,7 +209,7 @@ func subtractListCells(a geom.Box, bs geom.BoxList, scr *planScratch) int64 {
 }
 
 // GhostPlanScan is the original O(grids²) all-pairs ghost planner,
-// kept as the -plancheck baseline and for benchmarks. It produces
+// kept as the plan oracle's baseline and for benchmarks. It produces
 // exactly the same messages as GhostPlan.
 func (h *Hierarchy) GhostPlanScan(l int, dropLocal bool) []Message {
 	var out []Message

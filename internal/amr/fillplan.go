@@ -108,7 +108,7 @@ func (h *Hierarchy) buildFillDest(g *Grid, l int, li, cli *levelIndex, dom geom.
 }
 
 // buildFillPlanScan is the original O(grids²) fill planner, kept as
-// the -plancheck baseline: per destination grid, prolongation regions
+// the plan oracle's baseline: per destination grid, prolongation regions
 // from every overlapping coarse grid, sibling overlap copies, then
 // the outside-domain clamp boxes — the exact traversal of the
 // scan-based fill, so executing the plan reproduces it bit for bit.
@@ -228,7 +228,7 @@ func (h *Hierarchy) execRestrictPlan(plan []restrictDest) {
 	}
 }
 
-// fillGhostsChecked is the -datacheck oracle: run the planned fill,
+// fillGhostsChecked is the data oracle: run the planned fill,
 // then re-run the scan-based fill from the same pre-state and demand
 // bitwise equality. Sources are never written by a fill, so swapping
 // each destination's patch for its pre-fill clone and re-running the
@@ -253,7 +253,7 @@ func (h *Hierarchy) fillGhostsChecked(l int, plan []fillDest) {
 	}
 }
 
-// restrictChecked is the -datacheck oracle for restriction: planned
+// restrictChecked is the data oracle for restriction: planned
 // vs scan-based, compared bitwise on every written parent.
 func (h *Hierarchy) restrictChecked(l int, plan []restrictDest) {
 	pre := make([]*grid.Patch, len(plan))

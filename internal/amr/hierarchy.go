@@ -118,12 +118,12 @@ type Hierarchy struct {
 	// destination patch).
 	pool *solver.Pool
 	// dataCheck re-runs every planned fill/restrict against the
-	// scan-based baseline and panics on bitwise divergence (the
-	// -datacheck oracle).
+	// scan-based baseline and panics on bitwise divergence (the data
+	// oracle of engine.Options.Check).
 	dataCheck bool
 	// planCheck re-derives every served plan with the O(n²) scan
-	// planners and panics on bitwise divergence (the -plancheck
-	// oracle).
+	// planners and panics on bitwise divergence (the plan oracle of
+	// engine.Options.Check).
 	planCheck bool
 
 	listener Listener
@@ -139,12 +139,12 @@ func (h *Hierarchy) SetPool(p *solver.Pool) { h.pool = p }
 
 // SetDataCheck toggles the planned-vs-scan byte-identity oracle.
 // Every FillGhostsData and RestrictData then does the data motion
-// twice and compares — for tests and -datacheck runs only.
+// twice and compares — for tests and -check runs only.
 func (h *Hierarchy) SetDataCheck(on bool) { h.dataCheck = on }
 
 // SetPlanCheck toggles the indexed-vs-scan plan oracle. Every served
 // plan is then re-derived with the retained O(n²) scan planners and
-// compared bitwise — for tests and -plancheck runs only.
+// compared bitwise — for tests and -check runs only.
 func (h *Hierarchy) SetPlanCheck(on bool) { h.planCheck = on }
 
 // SetListener subscribes l to the hierarchy's mutation events (nil

@@ -39,7 +39,7 @@ type Context struct {
 	// aggregates (per-processor level loads, subtree works, owned-grid
 	// lists) so the decision path reads O(1)/O(procs) state. When nil
 	// every helper falls back to recomputing by walking the hierarchy
-	// — the original behaviour, kept as the -ledgercheck oracle.
+	// — the original behaviour, kept as the ledger oracle's baseline.
 	Ledger *load.Ledger
 	// Now returns the current virtual time, needed to probe links
 	// whose background traffic varies.

@@ -8,10 +8,10 @@ import (
 	"samrdlb/internal/workload"
 )
 
-// The datacheck oracle re-runs every planned ghost fill and
-// restriction against the scan-based baseline and panics on any
-// bitwise divergence, so these runs fail loudly if the cached
-// data-motion plan ever drifts from the original semantics.
+// Options.Check arms the data-motion oracle, which re-runs every
+// planned ghost fill and restriction against the scan-based baseline
+// and panics on any bitwise divergence, so these runs fail loudly if
+// the cached data-motion plan ever drifts from the original semantics.
 
 func TestDataCheckQuickstartConfig(t *testing.T) {
 	// The examples/quickstart scenario carrying real field data, with
@@ -21,7 +21,7 @@ func TestDataCheckQuickstartConfig(t *testing.T) {
 		t.Skip("oracle mode re-runs the scan fill every exchange")
 	}
 	r := New(machine.WanPair(4, nil), workload.NewShockPool3D(32, 2), Options{
-		Steps: 6, MaxLevel: 2, WithData: true, DataCheck: true,
+		Steps: 6, MaxLevel: 2, WithData: true, Check: true,
 		Pool: solver.NewPool(4),
 	})
 	res := r.Run()
@@ -34,7 +34,7 @@ func TestDataCheckShockPoolSequential(t *testing.T) {
 	// Same workload without a pool: the sequential plan executor goes
 	// through the oracle too.
 	r := New(machine.WanPair(2, nil), workload.NewShockPool3D(16, 2), Options{
-		Steps: 5, MaxLevel: 1, WithData: true, DataCheck: true,
+		Steps: 5, MaxLevel: 1, WithData: true, Check: true,
 	})
 	res := r.Run()
 	if res.Steps != 5 {
@@ -53,7 +53,7 @@ func TestDataCheckFaultRecoveryConfig(t *testing.T) {
 	bt := boundaryClocks(t, 8)
 	r := New(machine.WanPair(4, nil), workload.NewShockPool3D(16, 2), Options{
 		Steps: 8, MaxLevel: 1, Faults: wanScenario(t, bt),
-		WithData: true, DataCheck: true, Pool: solver.NewPool(4),
+		WithData: true, Check: true, Pool: solver.NewPool(4),
 	})
 	res := r.Run()
 	if res.Recoveries != 1 {
@@ -72,7 +72,7 @@ func TestDataCheckResumeFromCheckpoint(t *testing.T) {
 		return workload.NewShockPool3D(16, 2)
 	}, func(o *Options) {
 		o.WithData = true
-		o.DataCheck = true
+		o.Check = true
 		o.Pool = solver.NewPool(2)
 	})
 }

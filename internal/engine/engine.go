@@ -50,10 +50,6 @@ type Options struct {
 	ImbalanceEps float64
 	// MaxLevel is the deepest refinement level (default 2).
 	MaxLevel int
-	// NGhost is the ghost width (default 1).
-	NGhost int
-	// Regrid are the clustering parameters (zero value = defaults).
-	Regrid amr.RegridParams
 	// RegridInterval regrids every k level-0 steps (default 1).
 	RegridInterval int
 	// GridsPerProc controls the initial level-0 decomposition
@@ -150,41 +146,22 @@ type Options struct {
 	// CheckpointKeep bounds the retained on-disk generations
 	// (default 3; only used with CheckpointDir).
 	CheckpointKeep int
-	// Retry bounds the probe retry/backoff loop of the global phase
-	// (zero value = netsim defaults).
-	Retry netsim.RetryPolicy
 	// GroupQuorum is the minimum admitted processors a group needs to
 	// take part in global balancing under elastic membership; below it
 	// the group degrades to local-only decisions via the quarantine
 	// path (0 = default 1, i.e. a group degrades only when every
 	// member is dead or rejoining). Only meaningful with Faults.
 	GroupQuorum int
-	// SuspectAfter and DeadAfter are the membership suspicion
-	// thresholds: after SuspectAfter consecutive probe failures
-	// against a group its processors are suspected, after DeadAfter
-	// they are presumed dead (0 = defaults 2 and 4). Only meaningful
-	// with Faults.
-	SuspectAfter int
-	DeadAfter    int
-	// LedgerCheck enables the load-ledger debug oracle: after every
-	// hierarchy mutation event the incremental aggregates are verified
-	// against a full recomputation (panic on divergence), and the
-	// recorder's group aggregates are checked at each global-balance
-	// decision. Turns O(changes) bookkeeping into O(grids) per event —
-	// for tests and -ledgercheck runs only.
-	LedgerCheck bool
-	// DataCheck enables the data-motion debug oracle: every planned
-	// ghost fill and restriction is re-run through the scan-based
-	// baseline and compared bitwise (panic on divergence). Roughly
-	// doubles the data-path cost — for tests and -datacheck runs only.
-	DataCheck bool
-	// PlanCheck enables the exchange-plan debug oracle: every served
-	// (indexed, incrementally patched) plan is re-derived through the
-	// retained O(n²) scan planners and compared bitwise (panic on
-	// divergence). Structure-only and deterministic, so unlike
-	// DataCheck it is safe on multi-process worker shards — for tests
-	// and -plancheck runs only.
-	PlanCheck bool
+	// Check arms the debug oracles, each of which panics on
+	// divergence: the load ledger is verified against a full
+	// recomputation after every hierarchy mutation and the recorder's
+	// group aggregates before every global decision; every served
+	// exchange plan is re-derived by the O(n²) scan planners; every
+	// planned ghost fill and restriction is re-run through the
+	// scan-based baseline. The data oracle stays off on
+	// Transport=worker, whose replicas hold stale copies of
+	// remote-owned grids. Slow — for tests and -check runs only.
+	Check bool
 }
 
 func (o *Options) setDefaults() {
@@ -199,12 +176,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.MaxLevel == 0 {
 		o.MaxLevel = 2
-	}
-	if o.NGhost <= 0 {
-		o.NGhost = 1
-	}
-	if o.Regrid.Cluster.MinEfficiency == 0 {
-		o.Regrid = amr.DefaultRegridParams()
 	}
 	if o.RegridInterval <= 0 {
 		o.RegridInterval = 1
@@ -233,6 +204,9 @@ const evalFlops = 5e4
 // one cell of recovery checkpoint state.
 const checkpointFlopsPerCell = 2.0
 
+// nGhost is the ghost width of every patch.
+const nGhost = 1
+
 // Runner executes one SAMR application on one system with one DLB
 // scheme.
 type Runner struct {
@@ -247,6 +221,7 @@ type Runner struct {
 	ctx    *dlb.Context
 
 	kernels      []solver.Kernel
+	regridParams amr.RegridParams
 	flopsPerCell float64
 	refFactor    int
 	dt0          float64
@@ -347,6 +322,7 @@ func New(sys *machine.System, driver workload.Driver, opt Options) *Runner {
 		opt:          opt,
 		clock:        vclock.New(sys.NumProcs()),
 		kernels:      driver.Kernels(),
+		regridParams: amr.DefaultRegridParams(),
 		flopsPerCell: workload.FlopsPerCell(driver),
 		refFactor:    driver.RefFactor(),
 		dt0:          driver.Dt0(),
@@ -361,21 +337,13 @@ func New(sys *machine.System, driver workload.Driver, opt Options) *Runner {
 		r.h = h
 		r.t = opt.ResumeTime
 	} else {
-		r.h = amr.New(geom.UnitCube(n0), r.refFactor, opt.MaxLevel, opt.NGhost, opt.WithData, driver.Fields()...)
+		r.h = amr.New(geom.UnitCube(n0), r.refFactor, opt.MaxLevel, nGhost, opt.WithData, driver.Fields()...)
 	}
-	// The hierarchy executes its cached data-motion plans over the
-	// host pool; the oracle flag flows down with it (covers both the
-	// fresh and the Resume hierarchy).
-	r.h.SetPool(opt.Pool)
-	r.h.SetDataCheck(opt.DataCheck)
-	r.h.SetPlanCheck(opt.PlanCheck)
 	// The ledger attaches before the initial decomposition so every
 	// grid creation flows through it as an event; on Resume the
 	// constructor's full build (parallel over the pool) picks up the
 	// checkpointed hierarchy instead.
-	r.ledger = load.NewLedger(sys, r.h, opt.Pool)
-	r.ledger.SetSelfCheck(opt.LedgerCheck)
-	r.h.SetListener(r.ledger)
+	r.attach(r.h)
 	r.rec = load.NewRecorder(sys.NumProcs(), opt.MaxLevel)
 	r.rec.BindGroups(sys)
 	r.ctx = &dlb.Context{
@@ -393,20 +361,20 @@ func New(sys *machine.System, driver workload.Driver, opt Options) *Runner {
 			panic("engine: " + err.Error())
 		}
 		// Attach the schedule to every fabric link (outages, degradation
-		// and probe loss), expose quarantine and the retry policy to the
-		// balancer, and make sure a forecast history exists: it is the
-		// fallback the global phase uses when every probe attempt fails.
+		// and probe loss), expose quarantine to the balancer (which
+		// retries probes under the netsim default policy), and make
+		// sure a forecast history exists: it is the fallback the global
+		// phase uses when every probe attempt fails.
 		sys.Net.EachLink(func(a, b int, l *netsim.Link) {
 			l.Fault = opt.Faults.ForLink(a, b)
 		})
 		r.ctx.Quarantined = r.groupQuarantined
-		r.ctx.Retry = opt.Retry
 		if r.ctx.Forecast == nil {
 			r.ctx.Forecast = netsim.NewForecastSet()
 		}
 		r.failedSet = make(map[int]bool)
 		r.ckptStep = -1
-		r.memb = machine.NewMembership(sys, opt.SuspectAfter, opt.DeadAfter, opt.GroupQuorum)
+		r.memb = machine.NewMembership(sys, 0, 0, opt.GroupQuorum)
 		r.ctx.Admitted = r.memb.Admitted
 	}
 	if opt.CheckpointDir != "" {
@@ -432,11 +400,11 @@ func New(sys *machine.System, driver workload.Driver, opt Options) *Runner {
 		if opt.Worker == nil {
 			panic("engine: Transport=worker requires Options.Worker")
 		}
-		if opt.GradientField != "" || opt.DataCheck {
+		if opt.GradientField != "" {
 			// Worker replicas may hold stale copies of remote-owned
-			// grids; any control decision or oracle that reads field
-			// values would diverge across processes.
-			panic("engine: Transport=worker forbids data-dependent control (GradientField/DataCheck)")
+			// grids; a control decision that reads field values would
+			// diverge across processes.
+			panic("engine: Transport=worker forbids data-dependent control (GradientField)")
 		}
 	default:
 		panic("engine: unknown Transport " + opt.Transport)
@@ -480,6 +448,19 @@ func New(sys *machine.System, driver workload.Driver, opt Options) *Runner {
 		r.initLevel0()
 	}
 	return r
+}
+
+// attach readies a fresh or restored hierarchy: its cached data-motion
+// plans execute over the host pool, the oracles follow Options.Check,
+// and a new load ledger (a full build, parallel over the pool) listens
+// to its mutations.
+func (r *Runner) attach(h *amr.Hierarchy) {
+	h.SetPool(r.opt.Pool)
+	h.SetDataCheck(r.opt.Check && r.opt.Transport != TransportWorker)
+	h.SetPlanCheck(r.opt.Check)
+	r.ledger = load.NewLedger(r.sys, h, r.opt.Pool)
+	r.ledger.SetSelfCheck(r.opt.Check)
+	h.SetListener(r.ledger)
 }
 
 // Time returns the current simulated physical time.
@@ -835,9 +816,6 @@ func (r *Runner) recoverFromCheckpoint() int {
 		h, step, simT, ckClock, pristine = r.recoverFallback(now)
 	}
 	lost := now - ckClock
-	h.SetPool(r.opt.Pool)
-	h.SetDataCheck(r.opt.DataCheck)
-	h.SetPlanCheck(r.opt.PlanCheck)
 	r.h = h
 	r.ctx.H = h
 	r.t = simT
@@ -846,9 +824,7 @@ func (r *Runner) recoverFromCheckpoint() int {
 	// pool — attached before repartition so the ownership reshuffle
 	// flows through it as events.
 	r.ledgerEvents += r.ledger.EventCount()
-	r.ledger = load.NewLedger(r.sys, h, r.opt.Pool)
-	r.ledger.SetSelfCheck(r.opt.LedgerCheck)
-	h.SetListener(r.ledger)
+	r.attach(h)
 	r.ctx.Ledger = r.ledger
 	r.ledgerRebuilds++
 	if pristine {
@@ -930,7 +906,7 @@ func (r *Runner) recoverFallback(now float64) (h *amr.Hierarchy, step int, simT,
 	r.pristineResets++
 	r.opt.Trace.Add(trace.Fault, 0, now, "no usable checkpoint; pristine restart")
 	h = amr.New(geom.UnitCube(r.driver.DomainN()), r.refFactor, r.opt.MaxLevel,
-		r.opt.NGhost, r.opt.WithData, r.driver.Fields()...)
+		nGhost, r.opt.WithData, r.driver.Fields()...)
 	return h, -1, 0, 0, true
 }
 
@@ -1317,7 +1293,7 @@ func (r *Runner) globalBalance() {
 		r.noteMembership()
 		r.noteQuarantine()
 	}
-	if r.opt.LedgerCheck {
+	if r.opt.Check {
 		// Oracle for the incremental Eq. 2 aggregates: the recorder's
 		// group sums must match a recompute over all processors right
 		// before the decision reads them.
@@ -1419,7 +1395,7 @@ func (r *Runner) regrid(initial bool) {
 	place := func(childBox geom.Box, parent *amr.Grid) int {
 		return r.opt.Balancer.PlaceChild(r.ctx, childBox, parent)
 	}
-	r.h.RegridAll(0, flagger, r.opt.Regrid, place)
+	r.h.RegridAll(0, flagger, r.regridParams, place)
 	if initial && r.opt.WithData {
 		// At t=0 the exact initial condition beats prolonged data.
 		for l := 1; l <= r.h.MaxLevel; l++ {

@@ -22,7 +22,7 @@ func TestLedgerOracleQuickstartConfig(t *testing.T) {
 	}
 	sys := machine.WanPair(4, nil)
 	r := New(sys, workload.NewShockPool3D(32, 2), Options{
-		Steps: 10, MaxLevel: 2, LedgerCheck: true,
+		Steps: 10, MaxLevel: 2, Check: true,
 	})
 	res := r.Run()
 	if res.LedgerEvents == 0 {
@@ -46,7 +46,7 @@ func TestLedgerOracleFaultConfig(t *testing.T) {
 	// through the repartition and the rest of the run.
 	bt := boundaryClocks(t, 8)
 	r := New(machine.WanPair(4, nil), workload.NewShockPool3D(16, 2), Options{
-		Steps: 8, MaxLevel: 1, Faults: wanScenario(t, bt), LedgerCheck: true,
+		Steps: 8, MaxLevel: 1, Faults: wanScenario(t, bt), Check: true,
 	})
 	res := r.Run()
 	if res.Recoveries != 1 {
@@ -89,7 +89,7 @@ func TestSingleGroupRedistributionChargedWithDelta(t *testing.T) {
 		h.AddGrid(0, geom.BoxFromShape(geom.Index{x, 0, 0}, geom.Index{4, 16, 16}), 0, amr.NoGrid)
 	}
 	r := New(machine.Origin2000("ANL", 4), workload.NewShockPool3D(16, 2), Options{
-		Steps: 2, MaxLevel: 1, Resume: h, LedgerCheck: true,
+		Steps: 2, MaxLevel: 1, Resume: h, Check: true,
 	})
 	res := r.Run()
 	if res.GlobalRedists < 1 {
@@ -114,7 +114,7 @@ func TestLedgerSurvivesRegridAndSplitStorm(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := New(machine.WanPair(3, nil), workload.NewShockPool3D(16, 2), Options{
-		Steps: 6, MaxLevel: 2, Faults: sched, LedgerCheck: true,
+		Steps: 6, MaxLevel: 2, Faults: sched, Check: true,
 		AfterStep: func(step int, rr *Runner) {
 			if err := rr.Ledger().Verify(); err != nil {
 				t.Fatalf("step %d: %v", step, err)

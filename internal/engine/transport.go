@@ -264,21 +264,6 @@ func (r *Runner) runWirePhase(phase string, level int, body func(rank *mpx.Rank)
 	return false
 }
 
-// StepDigest returns a compact fingerprint of the run's state after a
-// level-0 step — the value replicated lockstep processes exchange to
-// detect divergence. Any difference in decisions, data motion or the
-// virtual clock perturbs at least one component.
-func (r *Runner) StepDigest(step int) []float64 {
-	return []float64{
-		float64(step),
-		r.clock.Now(),
-		float64(r.globalEvals),
-		float64(r.globalRedists),
-		float64(r.localMigs),
-		float64(r.ledger.TotalCells()),
-	}
-}
-
 // Close releases the runner's transport resources (no-op for loopback
 // runs). Run calls it on exit; it is safe to call again.
 func (r *Runner) Close() {

@@ -43,14 +43,37 @@ func connectedWorkerEndpoints(t *testing.T, ngroups int, wireTimeout time.Durati
 }
 
 // newWorkerRunner builds one worker-process replica of the reference
-// scenario. Each replica gets its own System and driver — in a real
-// supervised run they live in separate OS processes.
-func newWorkerRunner(shard, steps int, ep *mpx.TCPEndpoint) *Runner {
+// scenario, with the debug oracles armed when check is set. Each
+// replica gets its own System and driver — in a real supervised run
+// they live in separate OS processes.
+func newWorkerRunner(shard, steps int, ep *mpx.TCPEndpoint, check bool) *Runner {
 	return New(machine.WanPair(2, nil), workload.NewShockPool3D(16, 2), Options{
-		Steps: steps, MaxLevel: 1, WithData: true, UseMPX: true,
+		Steps: steps, MaxLevel: 1, WithData: true, UseMPX: true, Check: check,
 		Transport: TransportWorker,
 		Worker:    &WorkerWire{Shard: shard, Endpoint: ep},
 	})
+}
+
+// runWorkerPair runs one connected worker replica per group
+// concurrently and returns the runners and their Results.
+func runWorkerPair(t *testing.T, steps int, check bool) ([]*Runner, []*metrics.Result) {
+	t.Helper()
+	eps := connectedWorkerEndpoints(t, 2, 5*time.Second)
+	runners := make([]*Runner, 2)
+	for g := range runners {
+		runners[g] = newWorkerRunner(g, steps, eps[g], check)
+	}
+	results := make([]*metrics.Result, 2)
+	var wg sync.WaitGroup
+	for g := range runners {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			results[g] = runners[g].Run()
+		}(g)
+	}
+	wg.Wait()
+	return runners, results
 }
 
 // requireWorkerResultMatches asserts the worker-replica oracle: the
@@ -82,22 +105,7 @@ func requireWorkerResultMatches(t *testing.T, who string, ref, got *metrics.Resu
 // reports, with frames demonstrably crossing the wire.
 func TestWorkerTransportMatchesLoopback(t *testing.T) {
 	loopRes, loopRun := runTransport(TransportLoopback, nil)
-
-	eps := connectedWorkerEndpoints(t, 2, 5*time.Second)
-	runners := make([]*Runner, 2)
-	for g := range runners {
-		runners[g] = newWorkerRunner(g, 3, eps[g])
-	}
-	results := make([]*metrics.Result, 2)
-	var wg sync.WaitGroup
-	for g := range runners {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			results[g] = runners[g].Run()
-		}(g)
-	}
-	wg.Wait()
+	runners, results := runWorkerPair(t, 3, false)
 
 	for g, res := range results {
 		requireWorkerResultMatches(t, "worker "+string(rune('0'+g)), loopRes, res)
@@ -151,8 +159,8 @@ func TestWorkerDetachOnPeerExitStaysIdentical(t *testing.T) {
 	loopRes, _ := runTransport(TransportLoopback, nil)
 
 	eps := connectedWorkerEndpoints(t, 2, 2*time.Second)
-	survivor := newWorkerRunner(0, 3, eps[0])
-	quitter := newWorkerRunner(1, 1, eps[1])
+	survivor := newWorkerRunner(0, 3, eps[0], false)
+	quitter := newWorkerRunner(1, 1, eps[1], false)
 
 	var res0 *metrics.Result
 	var wg sync.WaitGroup
@@ -192,10 +200,23 @@ func TestWorkerTransportValidation(t *testing.T) {
 	mustPanic("worker without Worker", Options{
 		Steps: 1, WithData: true, UseMPX: true, Transport: TransportWorker,
 	})
-	mustPanic("worker with DataCheck", Options{
-		Steps: 1, WithData: true, UseMPX: true, DataCheck: true,
+	mustPanic("worker with GradientField", Options{
+		Steps: 1, WithData: true, UseMPX: true, GradientField: "q",
 		Transport: TransportWorker, Worker: &WorkerWire{Shard: 0, Detached: true},
 	})
+}
+
+// TestWorkerCheckMatchesUnchecked pins the single oracle switch on
+// worker shards: with Check armed the engine keeps the ledger and plan
+// oracles but turns the data oracle off (replicas hold stale copies of
+// remote-owned grids), so the replicas run to completion and report
+// the very Result an unchecked run reports.
+func TestWorkerCheckMatchesUnchecked(t *testing.T) {
+	loopRes, _ := runTransport(TransportLoopback, nil)
+	_, results := runWorkerPair(t, 3, true)
+	for g, res := range results {
+		requireWorkerResultMatches(t, "checked worker "+string(rune('0'+g)), loopRes, res)
+	}
 }
 
 // TestDetachedWorkerRunsPlainPath pins the restart path's engine mode:

@@ -76,18 +76,18 @@ func lanTraffic(seed int64) netsim.TrafficModel {
 }
 
 // driverFor builds a fresh driver (drivers carry mutable state such
-// as AMR64's particles, so every run gets its own).
+// as AMR64's particles, so every run gets its own): AMR64 on the AMRN
+// domain, every other dataset on the ShockN domain.
 func driverFor(dataset string, o Options) workload.Driver {
-	switch dataset {
-	case "ShockPool3D":
-		return workload.NewShockPool3D(o.ShockN, 2)
-	case "AMR64":
-		return workload.NewAMR64(o.AMRN, 2, o.Seed)
-	case "SedovBlast":
-		return workload.NewSedovBlast(o.ShockN, 2)
-	default:
-		panic("exp: unknown dataset " + dataset)
+	n := o.ShockN
+	if dataset == "AMR64" {
+		n = o.AMRN
 	}
+	d, err := workload.New(dataset, n, o.Seed)
+	if err != nil {
+		panic("exp: " + err.Error())
+	}
+	return d
 }
 
 // systemFor builds the machine for a dataset/config: AMR64 runs on
@@ -100,23 +100,17 @@ func systemFor(dataset string, n int, seed int64) *machine.System {
 	return machine.WanPair(n, wanTraffic(seed))
 }
 
-// balancerFor maps a scheme name to its implementation via the policy
-// registry (any canonical name or alias).
-func balancerFor(scheme string) dlb.Balancer {
-	b, err := dlb.NewPolicy(scheme)
+// Run executes one (dataset, scheme, system) combination and returns
+// its result. The scheme is any policy registry name or alias.
+func Run(dataset, scheme string, sys *machine.System, o Options) *metrics.Result {
+	o.setDefaults()
+	bal, err := dlb.NewPolicy(scheme)
 	if err != nil {
 		panic("exp: unknown scheme " + scheme)
 	}
-	return b
-}
-
-// Run executes one (dataset, scheme, system) combination and returns
-// its result.
-func Run(dataset, scheme string, sys *machine.System, o Options) *metrics.Result {
-	o.setDefaults()
 	r := engine.New(sys, driverFor(dataset, o), engine.Options{
 		Steps:    o.Steps,
-		Balancer: balancerFor(scheme),
+		Balancer: bal,
 		MaxLevel: o.MaxLevel,
 		WithData: o.WithData,
 	})

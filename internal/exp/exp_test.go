@@ -3,6 +3,8 @@ package exp
 import (
 	"strings"
 	"testing"
+
+	"samrdlb/internal/machine"
 )
 
 // fastOpts keeps test sweeps quick while preserving the dynamics.
@@ -128,8 +130,9 @@ func TestSequentialHasNoComm(t *testing.T) {
 }
 
 func TestUnknownNamesPanic(t *testing.T) {
-	assertPanics(t, "dataset", func() { driverFor("nope", fastOpts()) })
-	assertPanics(t, "scheme", func() { balancerFor("nope") })
+	assertPanics(t, "scheme", func() {
+		Run("ShockPool3D", "nope", machine.Origin2000("seq", 1), fastOpts())
+	})
 }
 
 func assertPanics(t *testing.T, name string, fn func()) {

@@ -179,7 +179,7 @@ func regionAround(rng *rand.Rand, g geom.Box) geom.Box {
 // TestKernelsMatchPerCellRandom pins every strided kernel against its
 // per-cell reference over random placements: ghost widths 1 and 2,
 // negative ghost indices, 1-cell-wide x-slabs and regions that spill
-// past the patches. The -datacheck oracle runs its planned and scan
+// past the patches. The -check data oracle runs its planned and scan
 // fills through these same kernels, so this test is the kernels' guard.
 func TestKernelsMatchPerCellRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))

@@ -65,7 +65,7 @@ type Ledger struct {
 	rebuilds int
 
 	// selfCheck makes every event run the full recompute oracle and
-	// panic on divergence — the -ledgercheck debug mode.
+	// panic on divergence — the ledger oracle of -check.
 	selfCheck bool
 }
 
@@ -83,8 +83,8 @@ func NewLedger(sys *machine.System, h *amr.Hierarchy, pool *solver.Pool) *Ledger
 // SetSelfCheck toggles oracle mode: after every mutation event the
 // whole ledger is verified against a from-scratch recomputation and
 // any divergence panics with the failing aggregate. Meant for tests
-// and the -ledgercheck flag; it turns O(changes) bookkeeping back
-// into O(grids) per event.
+// and engine.Options.Check; it turns O(changes) bookkeeping back into
+// O(grids) per event.
 func (l *Ledger) SetSelfCheck(on bool) { l.selfCheck = on }
 
 // EventCount returns the number of mutation events applied since the

@@ -12,7 +12,7 @@ import (
 )
 
 // -plan-scenarios=N turns on the plan-equivalence soak: N generated
-// scenarios executed with the -plancheck oracle armed (CI runs 200
+// scenarios executed with the -check oracles armed (CI runs 200
 // under -race). 0 — the default — keeps ordinary `go test` fast; the
 // always-on sweep below still covers a fixed dozen.
 var planScenarios = flag.Int("plan-scenarios", 0, "number of generated scenarios for TestPlanEquivalenceSoak (0 = skip)")
@@ -30,17 +30,17 @@ func planMsgsEqual(a, b []amr.Message) bool {
 }
 
 // runPlanScenario executes one generated scenario as a plan-
-// equivalence property trial: the engine runs with PlanCheck armed —
+// equivalence property trial: the engine runs with Check armed —
 // every cached plan it serves is verified bitwise against the O(n²)
 // scan planners, across every regrid, migration, fault and recovery
-// the scenario throws at it — plus a per-phase hook that compares the
-// indexed scratch GhostPlan against GhostPlanScan for all levels and
-// both dropLocal variants (the cached path only exercises
-// dropLocal=false). Failures shrink to a minimal replayable
+// the scenario throws at it, next to the ledger and data oracles —
+// plus a per-phase hook that compares the indexed scratch GhostPlan
+// against GhostPlanScan for all levels and both dropLocal variants
+// (the cached path only exercises dropLocal=false). Failures shrink to a minimal replayable
 // reproducer, dropped into $SAMR_REPRO_DIR when set.
 func runPlanScenario(t *testing.T, sc Scenario) {
 	t.Helper()
-	sc.PlanCheck = true
+	sc.Check = true
 	// Single leg: resume determinism has its own soak, and the oracle
 	// re-arms on recovery anyway.
 	sc.ResumeCut = -1
@@ -79,7 +79,7 @@ func runPlanScenario(t *testing.T, sc Scenario) {
 		return
 	}
 	shrunk := Shrink(sc, func(c Scenario) bool {
-		c.PlanCheck = true
+		c.Check = true
 		return c.Execute().Failed()
 	}, 0)
 	reason := panicked

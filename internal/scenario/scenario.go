@@ -4,7 +4,7 @@
 // schedules, checkpoint/resume cut points), an executor that runs
 // them under the paper-invariant oracle (internal/invariant), and a
 // greedy shrinker that minimises a failing scenario and prints a
-// replayable `samrsim -invariants -scenario '...'` command line.
+// replayable `samrsim -scenario '...'` command line.
 //
 // Everything is a pure function of the scenario value: the same
 // Scenario always produces the same Result and the same violations,
@@ -14,6 +14,7 @@ package scenario
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -43,7 +44,7 @@ type Scenario struct {
 	// Seed feeds the seeded parts of the run (AMR64's refinement
 	// schedule); the scenario's own shape comes from Generate's seed.
 	Seed    int64
-	Dataset string // ShockPool3D | AMR64 | SedovBlast | blob | uniform
+	Dataset string // one of workload.Datasets
 	DomainN int
 	// MaxLevel is the deepest refinement level (1 or 2).
 	MaxLevel int
@@ -51,7 +52,7 @@ type Scenario struct {
 	// the dlb policy registry: distributed, parallel, sfc, hilbert-sfc,
 	// diffusion, diffusion-sos, knapsack). Normalize canonicalises it.
 	Scheme string
-	Groups   []GroupDef
+	Groups []GroupDef
 	// Wan selects the MREN OC-3 WAN between groups (Gigabit LAN
 	// otherwise); Traffic, when non-zero, seeds bursty background
 	// traffic on the inter-group links.
@@ -78,11 +79,11 @@ type Scenario struct {
 	// self-tests: "colocation" misplaces children outside their
 	// parent's group. Never produced by Generate; preserved by Shrink.
 	InjectBug string
-	// PlanCheck arms the engine's exchange-plan oracle for the run:
-	// every served plan is compared bitwise against the O(n²) scan
-	// baselines. Never produced by Generate (the plan-equivalence soak
-	// and -plancheck replays force it); preserved by Shrink.
-	PlanCheck bool
+	// Check arms the engine's debug oracles for the run
+	// (engine.Options.Check: ledger, exchange-plan and data-motion
+	// recomputation). Never produced by Generate (the plan-equivalence
+	// soak and -check replays force it); preserved by Shrink.
+	Check bool
 }
 
 // System builds the machine the scenario runs on.
@@ -116,18 +117,11 @@ func (s *Scenario) System() *machine.System {
 // (particles, seeded schedules), so every leg of a run needs a fresh
 // one.
 func (s *Scenario) Driver() workload.Driver {
-	switch s.Dataset {
-	case "AMR64":
-		return workload.NewAMR64(s.DomainN, 2, s.Seed)
-	case "SedovBlast":
-		return workload.NewSedovBlast(s.DomainN, 2)
-	case "blob":
-		return workload.NewStaticBlob(s.DomainN, 2)
-	case "uniform":
-		return &workload.Uniform{N0: s.DomainN, Ref: 2}
-	default:
+	d, err := workload.New(s.Dataset, s.DomainN, s.Seed)
+	if err != nil {
 		return workload.NewShockPool3D(s.DomainN, 2)
 	}
+	return d
 }
 
 // balancer builds the scheme from the policy registry, wrapping it
@@ -181,7 +175,7 @@ func (s *Scenario) EngineOptions(check func(*engine.PhaseInfo)) (engine.Options,
 		UseForecast:        s.UseForecast,
 		CheckpointInterval: s.CkptInterval,
 		GroupQuorum:        s.Quorum,
-		PlanCheck:          s.PlanCheck,
+		Check:              s.Check,
 		Invariants:         check,
 	}
 	if len(s.Faults) > 0 {
@@ -350,8 +344,8 @@ func (s *Scenario) Encode() string {
 	if s.InjectBug != "" {
 		add("bug", s.InjectBug)
 	}
-	if s.PlanCheck {
-		add("plancheck", "1")
+	if s.Check {
+		add("check", "1")
 	}
 	return strings.Join(parts, " ")
 }
@@ -419,8 +413,8 @@ func Parse(in string) (Scenario, error) {
 			s.Faults, err = parseFaults(v)
 		case "bug":
 			s.InjectBug = v
-		case "plancheck":
-			s.PlanCheck = v == "1"
+		case "check":
+			s.Check = v == "1"
 		default:
 			return s, fmt.Errorf("scenario.Parse: unknown key %q", k)
 		}
@@ -496,7 +490,7 @@ func parseFaults(v string) ([]fault.Event, error) {
 // ReplayCommand renders the samrsim command line that reproduces the
 // scenario — what a failing soak or fuzz run prints.
 func ReplayCommand(s Scenario) string {
-	return fmt.Sprintf("samrsim -invariants -scenario '%s'", s.Encode())
+	return fmt.Sprintf("samrsim -scenario '%s'", s.Encode())
 }
 
 // --- normalisation --------------------------------------------------
@@ -508,12 +502,7 @@ var domainSizes = []int{8, 12, 16}
 // generator and the shrinker funnel candidates through it, so every
 // scenario that reaches Execute is well-formed by construction.
 func (s *Scenario) Normalize() {
-	if s.Dataset == "" {
-		s.Dataset = "ShockPool3D"
-	}
-	switch s.Dataset {
-	case "ShockPool3D", "AMR64", "SedovBlast", "blob", "uniform":
-	default:
+	if !slices.Contains(workload.Datasets, s.Dataset) {
 		s.Dataset = "ShockPool3D"
 	}
 	if canon, ok := dlb.CanonicalPolicy(s.Scheme); ok {

@@ -138,6 +138,7 @@ func TestScenarioEncodeParseRoundTrip(t *testing.T) {
 		if seed%7 == 0 {
 			sc.InjectBug = "colocation"
 		}
+		sc.Check = seed%5 == 0
 		parsed, err := Parse(sc.Encode())
 		if err != nil {
 			t.Fatalf("seed %d: Parse(%q): %v", seed, sc.Encode(), err)

@@ -18,6 +18,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -48,6 +49,29 @@ type Driver interface {
 	RefFactor() int
 	// Particles returns the particle population, or nil.
 	Particles() *solver.ParticleSet
+}
+
+// Datasets names every driver New builds.
+var Datasets = []string{"ShockPool3D", "AMR64", "SedovBlast", "blob", "uniform"}
+
+// New builds a fresh driver for the named dataset on an n0³ level-0
+// domain with refinement factor 2. seed places AMR64's clusters; the
+// other datasets ignore it. Drivers carry state (particles, seeded
+// schedules), so every run needs its own.
+func New(name string, n0 int, seed int64) (Driver, error) {
+	switch name {
+	case "ShockPool3D":
+		return NewShockPool3D(n0, 2), nil
+	case "AMR64":
+		return NewAMR64(n0, 2, seed), nil
+	case "SedovBlast":
+		return NewSedovBlast(n0, 2), nil
+	case "blob":
+		return NewStaticBlob(n0, 2), nil
+	case "uniform":
+		return &Uniform{N0: n0, Ref: 2}, nil
+	}
+	return nil, fmt.Errorf("unknown dataset %q", name)
 }
 
 // FlopsPerCell sums the per-cell cost of the driver's kernels — the

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"samrdlb/internal/cluster"
@@ -357,5 +358,36 @@ func TestSedovMetadataAndIC(t *testing.T) {
 	}
 	if s.Dt0() <= 0 || math.IsInf(s.Dt0(), 0) {
 		t.Errorf("Dt0 = %v", s.Dt0())
+	}
+}
+
+// TestNewBuildsEveryDataset pins the dataset table: every name in
+// Datasets builds exactly the driver its own constructor builds.
+func TestNewBuildsEveryDataset(t *testing.T) {
+	const n0, seed = 16, 7
+	want := map[string]Driver{
+		"ShockPool3D": NewShockPool3D(n0, 2),
+		"AMR64":       NewAMR64(n0, 2, seed),
+		"SedovBlast":  NewSedovBlast(n0, 2),
+		"blob":        NewStaticBlob(n0, 2),
+		"uniform":     &Uniform{N0: n0, Ref: 2},
+	}
+	if len(Datasets) != len(want) {
+		t.Fatalf("Datasets has %d entries, want %d", len(Datasets), len(want))
+	}
+	for _, name := range Datasets {
+		got, err := New(name, n0, seed)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want[name]) {
+			t.Errorf("%s: New built %T %+v, want %T %+v", name, got, got, want[name], want[name])
+		}
+	}
+}
+
+func TestNewRejectsUnknownDataset(t *testing.T) {
+	if d, err := New("nope", 16, 1); err == nil {
+		t.Fatalf("unknown dataset accepted: %T", d)
 	}
 }
